@@ -31,7 +31,6 @@ void flush(Builder& b, FusionPlan& plan, double diag_tol) {
   // Classify most-specialized first: diagonal beats permutation (every
   // diagonal unitary is also a phased identity permutation) beats dense.
   if (b.matrix.is_diagonal(diag_tol)) {
-    block.diagonal = true;
     block.kernel_class = KernelClass::diagonal;
     const std::uint64_t dim = b.matrix.dim();
     block.diag.resize(dim);

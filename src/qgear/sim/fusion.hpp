@@ -31,7 +31,6 @@ const char* kernel_class_name(KernelClass kc);
 struct FusedBlock {
   std::vector<unsigned> qubits;                 ///< ascending global ids
   std::vector<std::complex<double>> matrix;     ///< row-major 2^m x 2^m
-  bool diagonal = false;                        ///< kernel_class == diagonal
   KernelClass kernel_class = KernelClass::dense;
   /// Filled for diagonal blocks: the 2^m diagonal values.
   std::vector<std::complex<double>> diag;

@@ -161,21 +161,6 @@ void apply_multi_diag(std::complex<T>* amps, unsigned num_qubits,
   active_kernels<T>().apply_multi_diag(amps, num_qubits, qubits, diag, pool);
 }
 
-/// Compat form of apply_multi_diag taking the full 2^m x 2^m matrix and
-/// extracting its diagonal.
-template <typename T>
-void apply_multi_diagonal(std::complex<T>* amps, unsigned num_qubits,
-                          const std::vector<unsigned>& qubits,
-                          const std::vector<std::complex<double>>& matrix,
-                          ThreadPool* pool = nullptr) {
-  const unsigned m = static_cast<unsigned>(qubits.size());
-  const std::uint64_t dim = pow2(m);
-  QGEAR_EXPECTS(matrix.size() == dim * dim);
-  std::vector<std::complex<double>> diag(dim);
-  for (std::uint64_t v = 0; v < dim; ++v) diag[v] = matrix[v * dim + v];
-  apply_multi_diag(amps, num_qubits, qubits, diag, pool);
-}
-
 /// Permutation fused-block kernel: per amplitude group,
 /// out[perm[v]] = phases[v] * in[v]. O(2^m) work per group instead of the
 /// dense kernel's O(4^m) — the fast path for X/CX/SWAP runs.

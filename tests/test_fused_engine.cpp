@@ -53,7 +53,7 @@ TEST(FusedEngine, ThreadPoolMatchesSerial) {
 }
 
 TEST(FusedEngine, DiagonalFastPathCorrect) {
-  // Pure-diagonal circuit exercises apply_multi_diagonal.
+  // Pure-diagonal circuit exercises apply_multi_diag.
   qiskit::QuantumCircuit qc(4);
   qc.h(0).h(1).h(2).h(3);
   qc.barrier();  // separate the diagonal block

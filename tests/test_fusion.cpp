@@ -67,7 +67,7 @@ TEST(Fusion, DiagonalRunDetected) {
   qc.rz(0.1, 0).rz(0.2, 1).cp(0.3, 0, 2).p(0.4, 2);
   const FusionPlan plan = plan_fusion(qc, {.max_width = 3});
   ASSERT_EQ(plan.blocks.size(), 1u);
-  EXPECT_TRUE(plan.blocks[0].diagonal);
+  EXPECT_EQ(plan.blocks[0].kernel_class, KernelClass::diagonal);
 }
 
 TEST(Fusion, NonDiagonalBlockFlagged) {
@@ -75,7 +75,7 @@ TEST(Fusion, NonDiagonalBlockFlagged) {
   qc.rz(0.1, 0).h(0);
   const FusionPlan plan = plan_fusion(qc, {.max_width = 2});
   ASSERT_EQ(plan.blocks.size(), 1u);
-  EXPECT_FALSE(plan.blocks[0].diagonal);
+  EXPECT_EQ(plan.blocks[0].kernel_class, KernelClass::dense);
 }
 
 TEST(Fusion, BarrierFlushes) {

@@ -5,6 +5,7 @@
 // mid-vector.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <complex>
 #include <vector>
 
@@ -171,7 +172,14 @@ template <typename T>
 void check_multi_kernels(unsigned n, const std::vector<unsigned>& qubits) {
   const unsigned m = static_cast<unsigned>(qubits.size());
   const std::uint64_t dim = pow2(m);
-  const auto mat = random_cvec(dim * dim, 600 + n);
+  // Width-5 matrices are scaled to unit expected row norm, like the
+  // unitary blocks fusion emits. Unscaled width-5 rows push fp32 outputs
+  // past 30, where the rounding difference between FMA and scalar
+  // accumulation alone reaches about 2e-5 and exceeds kTol.
+  auto mat = random_cvec(dim * dim, 600 + n);
+  if (m >= 5) {
+    for (auto& v : mat) v /= std::sqrt(2.0 * static_cast<double>(dim));
+  }
   expect_all_isas_match<T>(n, 601 + n, [&](const KernelTable<T>& t,
                                            std::complex<T>* amps,
                                            ThreadPool* pool) {
@@ -212,18 +220,30 @@ TEST(KernelsSimd, AllIsasMatchScalarFloat) {
   for (unsigned n = 1; n <= 8; ++n) check_all_kernels<float>(n);
 }
 
+template <typename T>
+void check_multi_kernel_widths() {
+  // Widths 3 and 4 on low, mixed, and high qubit subsets: exercises both
+  // the run-vectorized and the lane-gather paths of the diag kernel.
+  check_multi_kernels<T>(7, {0, 1, 2});
+  check_multi_kernels<T>(7, {0, 3, 6});
+  check_multi_kernels<T>(7, {4, 5, 6});
+  check_multi_kernels<T>(8, {1, 3, 5, 7});
+  // Width 5, the fusion width every workload runs. The dense kernel
+  // gathers its tile of groups when the lowest qubit sits below the
+  // tile's lane bits ({0, ...}) and loads it contiguously at or above
+  // them ({4, ...}). At n = 17 there are 4096 groups, enough for the
+  // 3-thread pool to split the sweep, and its chunk edges land mid-tile.
+  check_multi_kernels<T>(17, {0, 5, 9, 12, 14});
+  check_multi_kernels<T>(17, {4, 6, 8, 10, 12});
+  // Fewer groups than one tile: n = m and n = m + 1.
+  check_multi_kernels<T>(5, {0, 1, 2, 3, 4});
+  check_multi_kernels<T>(6, {0, 1, 2, 3, 5});
+  check_multi_kernels<T>(6, {1, 2, 3, 4, 5});
+}
+
 TEST(KernelsSimd, MultiQubitKernelsMatchScalar) {
-  // Low, mixed, and high qubit subsets: exercises both the run-vectorized
-  // and the lane-gather paths of the diag kernel, and dense gather widths
-  // 3 and 4.
-  check_multi_kernels<double>(7, {0, 1, 2});
-  check_multi_kernels<double>(7, {0, 3, 6});
-  check_multi_kernels<double>(7, {4, 5, 6});
-  check_multi_kernels<double>(8, {1, 3, 5, 7});
-  check_multi_kernels<float>(7, {0, 1, 2});
-  check_multi_kernels<float>(7, {0, 3, 6});
-  check_multi_kernels<float>(7, {4, 5, 6});
-  check_multi_kernels<float>(8, {1, 3, 5, 7});
+  check_multi_kernel_widths<double>();
+  check_multi_kernel_widths<float>();
 }
 
 TEST(KernelsSimd, TinyStatesSmallerThanOneVector) {
