@@ -136,9 +136,8 @@ Estimate estimate_gpu(const qiskit::QuantumCircuit& qc,
     qiskit::QuantumCircuit run(num_local, "model_segment");
     auto flush_run = [&] {
       if (run.empty()) return;
-      const sim::FusionPlan fp = sim::plan_fusion(
-          run, {.max_width = std::min(config.fusion_width, num_local)});
-      e.sweeps += fp.blocks.size();
+      const unsigned width = std::min(config.fusion_width, num_local);
+      e.sweeps += sim::group_fusion(run, {.max_width = width}).groups.size();
       run = qiskit::QuantumCircuit(num_local, "model_segment");
     };
     for (const dist::RemapSegment& seg : rplan.segments) {
@@ -193,11 +192,10 @@ Estimate estimate_gpu(const qiskit::QuantumCircuit& qc,
     }
     flush_run();
   } else {
-    // Sweep count from the real fusion planner (cheap: walks the gate
-    // list).
-    const sim::FusionPlan plan =
-        sim::plan_fusion(qc, {.max_width = config.fusion_width});
-    e.sweeps = plan.blocks.size();
+    // Sweep count from the fusion planner's grouping pass (one sweep per
+    // block; walks the gate list, composes no matrices).
+    e.sweeps =
+        sim::group_fusion(qc, {.max_width = config.fusion_width}).groups.size();
 
     // Communication: walk the exact per-gate schedule.
     if (r > 0) {

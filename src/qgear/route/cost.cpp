@@ -103,10 +103,13 @@ TimeEstimate statevector_estimate(const qiskit::QuantumCircuit& qc,
   const double flop_s = dense_fraction * amps * 8.0 *
                         std::ldexp(1.0, int(width)) /
                         (calib.dense_flops_ps * isa_f);
-  // Block construction: plan_fusion composes each merged gate by a full
-  // (2^w)x(2^w) matrix multiply — (2^w)^3 MACs per gate. Negligible at
-  // w<=3, dominant for wide blocks on small states; this is what makes
-  // max-width fusion lose on shallow registers.
+  // Block construction, priced as one full (2^w)x(2^w) matrix multiply
+  // per merged gate — (2^w)^3 MACs. Negligible at w<=3, dominant for wide
+  // blocks on small states; this is what makes max-width fusion lose on
+  // shallow registers. plan_fusion rewrites only the rows a gate mixes (at
+  // most 4 MACs per entry of the block matrix), so the term over-charges
+  // wide blocks; it stays as is so placements do not move until the model
+  // is refit against measured planning cost.
   const double build_s =
       fused ? double(f.unitary_gates) * 8.0 * std::ldexp(1.0, 3 * int(width)) /
                   (calib.dense_flops_ps * isa_f)

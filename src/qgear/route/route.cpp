@@ -100,12 +100,13 @@ Placement plan(const qiskit::QuantumCircuit& qc, const Budget& budget,
   if (opts.include_dist && sim::Backend::is_registered("dist"))
     configs.push_back({"dist", "fp64", sim::active_isa(), 0});
 
-  // Fusion plans are priced once per width, shared across ISA/precision.
+  // Sweeps per fusion width, shared across ISA/precision: one sweep per
+  // block, so the grouping pass prices a width without composing it.
   std::vector<std::uint64_t> width_sweeps(opts.fusion_widths.size(), 0);
   for (std::size_t i = 0; i < opts.fusion_widths.size(); ++i) {
     sim::FusionOptions fo = opts.base.fusion;
     fo.max_width = opts.fusion_widths[i];
-    width_sweeps[i] = sim::plan_fusion(tqc, fo).blocks.size();
+    width_sweeps[i] = sim::group_fusion(tqc, fo).groups.size();
   }
 
   const auto excluded = [&](const std::string& backend) {

@@ -45,7 +45,10 @@ double CMat::max_diff(const CMat& rhs) const {
 bool CMat::is_diagonal(double tol) const {
   for (std::uint64_t r = 0; r < dim_; ++r) {
     for (std::uint64_t c = 0; c < dim_; ++c) {
-      if (r != c && std::abs(at(r, c)) > tol) return false;
+      if (r == c) continue;
+      // Zero entries are skipped without a hypot (|0| <= tol).
+      if (at(r, c) == std::complex<double>(0, 0) && tol >= 0) continue;
+      if (std::abs(at(r, c)) > tol) return false;
     }
   }
   return true;
@@ -59,6 +62,8 @@ bool CMat::is_permutation(double tol, std::vector<std::uint32_t>* perm,
   for (std::uint64_t c = 0; c < dim_; ++c) {
     std::uint64_t hit_row = dim_;
     for (std::uint64_t r = 0; r < dim_; ++r) {
+      // Zero entries are skipped without a hypot (|0| <= tol).
+      if (at(r, c) == std::complex<double>(0, 0) && tol >= 0) continue;
       const double mag = std::abs(at(r, c));
       if (mag <= tol) continue;
       // A second non-zero in this column, or a non-unit entry, disqualifies.

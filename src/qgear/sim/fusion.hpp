@@ -5,9 +5,15 @@
 // `max_width` qubits; each fused block then costs a single amplitude
 // sweep instead of one sweep per gate. Barriers flush the current block;
 // measurements are collected for sampling.
+//
+// Planning runs in two steps. group_fusion applies the grouping rule and
+// carries no matrices, so callers that only price a width (the router,
+// the performance model) read its block count. plan_fusion composes each
+// group's unitary on top of it.
 #pragma once
 
 #include <complex>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -61,6 +67,29 @@ struct FusionOptions {
   /// "approximations for negligible rotation angles", Appendix D.2).
   double angle_threshold = 0.0;
 };
+
+/// One block of the grouping rule before any matrix exists: its qubits and
+/// its gates as indices into qc.instructions(), in program order.
+struct FusionGroup {
+  std::vector<unsigned> qubits;    ///< ascending global ids
+  std::vector<std::size_t> gates;  ///< instruction indices
+};
+
+/// The block structure of a fusion plan: plan_fusion(qc, o).blocks[i] spans
+/// group_fusion(qc, o).groups[i].qubits and fuses exactly its gates.
+struct FusionGrouping {
+  std::vector<FusionGroup> groups;
+  std::vector<unsigned> measured;  ///< measure targets in program order
+  std::uint64_t input_gates = 0;   ///< unitary gate count before fusion
+};
+
+/// Greedy grouping: a gate joins the open block unless the union of their
+/// qubits exceeds `max_width`, which closes the block first (a lone gate
+/// wider than `max_width` still forms its own block). Barriers and
+/// measurements close the open block; rotations below `angle_threshold`
+/// are dropped.
+FusionGrouping group_fusion(const qiskit::QuantumCircuit& qc,
+                            FusionOptions opts = {});
 
 /// Plans fusion for `qc`. Every unitary instruction lands in exactly one
 /// block; blocks applied in order reproduce the circuit's unitary.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,9 +14,11 @@
 #include "qgear/circuits/random_blocks.hpp"
 #include "qgear/common/error.hpp"
 #include "qgear/qiskit/circuit.hpp"
+#include "qgear/qiskit/transpile.hpp"
 #include "qgear/route/calibration.hpp"
 #include "qgear/route/cost.hpp"
 #include "qgear/route/features.hpp"
+#include "qgear/sim/fusion.hpp"
 #include "qgear/sim/isa.hpp"
 
 namespace qgear::route {
@@ -141,6 +144,41 @@ TEST(RoutePlan, DeterministicForSameCircuitAndBudget) {
     EXPECT_EQ(a.alternatives[i].feasible, b.alternatives[i].feasible);
   }
   EXPECT_EQ(a.rationale, b.rationale);
+}
+
+// The router prices each fused width by the grouping pass alone; the
+// sweep count it reports must be the block count of the plan the fused
+// engine would build, and repeated calls must place identically.
+TEST(RoutePlan, FusedSweepsMatchThePlanner) {
+  circuits::RandomBlocksOptions ro;
+  ro.num_qubits = 12;
+  ro.num_blocks = 60;
+  ro.seed = 3;
+  const std::vector<qiskit::QuantumCircuit> circuits = {
+      circuits::generate_random_circuit(ro), circuits::build_qft(12, {}),
+      ghz(12)};
+  Budget budget;
+  budget.max_error = 1e-4;
+  for (const qiskit::QuantumCircuit& qc : circuits) {
+    SCOPED_TRACE(qc.name());
+    const qiskit::QuantumCircuit tqc = qiskit::transpile(qc);
+    const Placement p = plan(qc, budget);
+    std::set<unsigned> widths;
+    for (const Candidate& c : p.alternatives) {
+      if (c.config.backend != "fused") continue;
+      widths.insert(c.config.fusion_width);
+      const unsigned w = c.config.fusion_width;
+      const std::size_t blocks =
+          sim::plan_fusion(tqc, {.max_width = w}).blocks.size();
+      unsigned long long sweeps = 0;
+      ASSERT_EQ(std::sscanf(c.detail.c_str(), "%llu sweeps", &sweeps), 1)
+          << c.detail;
+      EXPECT_EQ(sweeps, blocks) << "width " << w;
+    }
+    const std::vector<unsigned> all = RouteOptions{}.fusion_widths;
+    EXPECT_EQ(widths, std::set<unsigned>(all.begin(), all.end()));
+    EXPECT_EQ(p.to_json().dump(), plan(qc, budget).to_json().dump());
+  }
 }
 
 TEST(RoutePlan, RankedFeasibleFirstThenCheapest) {

@@ -16,13 +16,18 @@
 //                         [--fusion W] [--trace-out trace.json]
 //                         [--metrics-out metrics.json]
 //   qgear_cli run         --in circuits.qh5 --backend NAME [--shots S]
-//                         [--seed S] [--mps-cutoff C] [--mps-max-bond B]
+//                         [--seed S] [--precision fp32|fp64]
+//                         [--mps-cutoff C] [--mps-max-bond B]
 //                         [--dd-max-nodes N] [--dist-ranks R] [--fusion W]
 //                         [--retries N] [--retry-backoff-ms MS]
 //                         [--checkpoint-every N] [--report out.json]
+//                         [--trace-out trace.json]
+//                         [--metrics-out metrics.json]
 //   qgear_cli run         --in circuits.qh5 --auto [--budget-mb M]
 //                         [--max-error E] [--calibration cal.json]
-//                         [--shots S] [--seed S] [--report out.json]
+//                         [--precision fp32|fp64] [--shots S] [--seed S]
+//                         [--report out.json] [--trace-out trace.json]
+//                         [--metrics-out metrics.json]
 //   qgear_cli plan        --in circuits.qh5 [--budget-mb M]
 //                         [--max-error E] [--time-budget-s T]
 //                         [--calibration cal.json] [--report out.json]
@@ -50,7 +55,10 @@
 // how CI checks cross-backend equivalence. Route-only members a report
 // may carry (`precision`, `route`, rationale text) are deliberately
 // ignored by the diff, so an autotuned run compares cleanly against a
-// pinned-backend run.
+// pinned-backend run. --precision applies to the statevector engines
+// (fused, reference; with --auto it overrides the routed precision when
+// one of them is chosen); dd, mps and dist always run fp64. The report's
+// per-circuit `precision` is the one that ran.
 //
 // `run --auto` routes each circuit through route::plan (backend x
 // precision x ISA x fusion width under --budget-mb / --max-error) and
@@ -58,10 +66,11 @@
 // (qgear.route.report/v1) without executing; `calibrate` refreshes the
 // router's time-model constants and measured lookup table.
 //
-// Flags accept both "--key value" and "--key=value". Observability:
-// `--trace-out` records a Chrome Trace Event file (chrome://tracing /
-// Perfetto) of the run, `--metrics-out` dumps the metrics registry as
-// JSON, and `--log <level>` (or QGEAR_LOG) sets stderr verbosity.
+// Flags accept both "--key value" and "--key=value". Observability, on
+// every `run` path: `--trace-out` records a Chrome Trace Event file
+// (chrome://tracing / Perfetto) of the run, `--metrics-out` dumps the
+// metrics registry as JSON, and `--log <level>` (or QGEAR_LOG) sets
+// stderr verbosity.
 
 #include <algorithm>
 #include <chrono>
@@ -283,6 +292,62 @@ route::Calibration calibration_from_args(const Args& args) {
                       : route::Calibration::load(path);
 }
 
+/// --trace-out / --metrics-out for every `run` path. Construction enables
+/// the global tracer and registers the shutdown flush, so an interrupted
+/// run writes the same files a clean exit does (engine stats folded so
+/// far are missing, spans/metrics are not); write() is the clean exit.
+class RunObservability {
+ public:
+  explicit RunObservability(const Args& args)
+      : trace_out_(args.opt("trace-out")),
+        metrics_out_(args.opt("metrics-out")) {
+    obs::Tracer& tracer = obs::Tracer::global();
+    if (!trace_out_.empty()) {
+      tracer.clear();
+      tracer.set_enabled(true);
+    }
+    if (trace_out_.empty() && metrics_out_.empty()) return;
+    obs::install_signal_flush();
+    if (!trace_out_.empty()) {
+      obs::on_shutdown_flush(
+          [path = trace_out_, &tracer] { tracer.write_trace_json(path); });
+    }
+    if (!metrics_out_.empty()) {
+      obs::on_shutdown_flush([path = metrics_out_] {
+        obs::write_text_file(path,
+                             obs::Registry::global().snapshot().to_json());
+      });
+    }
+  }
+
+  /// Writes the requested files; `stats` (one per executed circuit) are
+  /// folded into the registry as engine.* first.
+  void write(const std::vector<sim::EngineStats>& stats) const {
+    if (!trace_out_.empty()) {
+      obs::Tracer& tracer = obs::Tracer::global();
+      tracer.set_enabled(false);
+      tracer.write_trace_json(trace_out_);
+      std::printf("wrote %s: %llu span(s), %llu dropped\n", trace_out_.c_str(),
+                  static_cast<unsigned long long>(tracer.recorded()),
+                  static_cast<unsigned long long>(tracer.dropped()));
+    }
+    if (!metrics_out_.empty()) {
+      auto& reg = obs::Registry::global();
+      for (const sim::EngineStats& st : stats)
+        sim::fold_stats(reg, st, "engine");
+      const obs::RegistrySnapshot snap = reg.snapshot();
+      obs::write_text_file(metrics_out_, snap.to_json());
+      std::printf("wrote %s: %zu counter(s), %zu gauge(s), %zu histogram(s)\n",
+                  metrics_out_.c_str(), snap.counters.size(),
+                  snap.gauges.size(), snap.histograms.size());
+    }
+  }
+
+ private:
+  std::string trace_out_;
+  std::string metrics_out_;
+};
+
 /// The --backend execution path: circuits run through the pluggable
 /// registry and the results land in a qgear.backend.report/v1 document.
 /// With --auto (or --backend auto) each circuit is first routed through
@@ -294,6 +359,13 @@ int cmd_run_backend(const Args& args) {
   const bool auto_route = args.has("auto") || name == "auto";
   if (name.empty() && !auto_route) name = sim::Backend::default_name();
   const sim::BackendOptions base = backend_options_from_args(args);
+  // An explicit --precision applies to the statevector engines; dd, mps
+  // and dist are double-precision engines regardless (as in serve).
+  const std::string precision_arg = args.opt("precision");
+  QGEAR_CHECK_ARG(precision_arg.empty() || precision_arg == "fp32" ||
+                      precision_arg == "fp64",
+                  "--precision must be fp32 or fp64");
+  const RunObservability observe(args);
   const std::uint64_t shots = args.u64("shots", 0);
   const std::uint64_t seed = args.u64("seed", 12345);
   // Resilience (docs/RESILIENCE.md): transient failures replay the whole
@@ -330,10 +402,13 @@ int cmd_run_backend(const Args& args) {
   report.set("retries", max_attempts);
   report.set("checkpoint_every", checkpoint_every);
   obs::JsonValue circuits_json{obs::JsonValue::Array{}};
+  std::vector<sim::EngineStats> stats;
 
   const core::GateTensor tensor = load_circuits(args.required("in"));
   for (std::uint32_t c = 0; c < tensor.num_circuits(); ++c) {
     const auto qc = core::decode_circuit(tensor, c);
+    obs::Span circuit_span(obs::Tracer::global(), "cli.run", "cli");
+    if (circuit_span.active()) circuit_span.arg("circuit", qc.name());
 
     sim::BackendOptions bo = base;
     std::string exec_name = name;
@@ -373,6 +448,18 @@ int cmd_run_backend(const Args& args) {
           sim::set_active_isa(cfg.isa);
           for (const std::string& line : placement.rationale) {
             std::printf("[%u] %s: %s\n", c, qc.name().c_str(), line.c_str());
+          }
+        }
+        if (!precision_arg.empty() && precision_arg != precision) {
+          const bool statevector =
+              exec_name == "fused" || exec_name == "reference";
+          std::printf("[%u] %s: --precision %s %s\n", c, qc.name().c_str(),
+                      precision_arg.c_str(),
+                      statevector ? "applied"
+                                  : "ignored: this engine runs fp64");
+          if (statevector) {
+            precision = precision_arg;
+            bo.fp32 = precision == "fp32";
           }
         }
         backend = sim::Backend::create(exec_name, bo);
@@ -440,10 +527,16 @@ int cmd_run_backend(const Args& args) {
                 qc.num_qubits(), qc.size(), human_seconds(wall).c_str(),
                 human_bytes(mem_bytes).c_str());
 
+    if (circuit_span.active()) {
+      circuit_span.arg("backend", exec_name);
+      circuit_span.arg("precision", precision);
+    }
+
     obs::JsonValue cj{obs::JsonValue::Object{}};
     cj.set("name", qc.name());
     cj.set("qubits", qc.num_qubits());
     cj.set("gates", std::uint64_t{qc.size()});
+    cj.set("precision", precision);
     cj.set("memory_estimate_bytes", mem_bytes);
     cj.set("wall_seconds", wall);
     cj.set("attempts", attempts);
@@ -455,10 +548,9 @@ int cmd_run_backend(const Args& args) {
       cj.set("fallback_chain", std::move(fb));
     }
     if (auto_route) {
-      cj.set("precision", precision);
       obs::JsonValue rj{obs::JsonValue::Object{}};
       rj.set("backend", exec_name);
-      rj.set("precision", precision);
+      rj.set("precision", placement.choice.config.precision);
       rj.set("isa", sim::isa_name(placement.choice.config.isa));
       rj.set("fusion_width", placement.choice.config.fusion_width);
       rj.set("time_est_s", placement.choice.seconds);
@@ -487,6 +579,7 @@ int cmd_run_backend(const Args& args) {
     for (double v : z) zj.push_back(v);
     cj.set("z_expectations", std::move(zj));
     const sim::EngineStats& st = backend->stats();
+    stats.push_back(st);
     obs::JsonValue sj{obs::JsonValue::Object{}};
     sj.set("gates", st.gates);
     sj.set("sweeps", st.sweeps);
@@ -503,33 +596,13 @@ int cmd_run_backend(const Args& args) {
     obs::write_text_file(report_out, report.dump());
     std::printf("wrote %s\n", report_out.c_str());
   }
+  observe.write(stats);
   return 0;
 }
 
 int cmd_run(const Args& args) {
   if (args.has("backend") || args.has("auto")) return cmd_run_backend(args);
-  const std::string trace_out = args.opt("trace-out");
-  const std::string metrics_out = args.opt("metrics-out");
-  obs::Tracer& tracer = obs::Tracer::global();
-  if (!trace_out.empty()) {
-    tracer.clear();
-    tracer.set_enabled(true);
-  }
-  // An interrupted run flushes the same files a clean exit writes
-  // (engine stats folded so far are missing, spans/metrics are not).
-  if (!trace_out.empty() || !metrics_out.empty()) {
-    obs::install_signal_flush();
-    if (!trace_out.empty()) {
-      obs::on_shutdown_flush(
-          [trace_out, &tracer] { tracer.write_trace_json(trace_out); });
-    }
-    if (!metrics_out.empty()) {
-      obs::on_shutdown_flush([metrics_out] {
-        obs::write_text_file(metrics_out,
-                             obs::Registry::global().snapshot().to_json());
-      });
-    }
-  }
+  const RunObservability observe(args);
 
   core::TransformerOptions opts;
   opts.target = parse_target(args.str("target", "nvidia"));
@@ -546,7 +619,7 @@ int cmd_run(const Args& args) {
   std::vector<core::Result> results;
   {
     // Scoped so every span (including this root) closes before export.
-    obs::Span root(tracer, "cli.run", "cli");
+    obs::Span root(obs::Tracer::global(), "cli.run", "cli");
     const core::GateTensor tensor = load_circuits(args.required("in"));
     core::Transformer transformer(opts);
     for (std::uint32_t c = 0; c < tensor.num_circuits(); ++c) {
@@ -579,24 +652,9 @@ int cmd_run(const Args& args) {
       }
     }
   }
-  if (!trace_out.empty()) {
-    tracer.set_enabled(false);
-    tracer.write_trace_json(trace_out);
-    std::printf("wrote %s: %llu span(s), %llu dropped\n", trace_out.c_str(),
-                static_cast<unsigned long long>(tracer.recorded()),
-                static_cast<unsigned long long>(tracer.dropped()));
-  }
-  if (!metrics_out.empty()) {
-    auto& reg = obs::Registry::global();
-    for (const auto& r : results) {
-      sim::fold_stats(reg, r.stats, "engine");
-    }
-    const obs::RegistrySnapshot snap = reg.snapshot();
-    obs::write_text_file(metrics_out, snap.to_json());
-    std::printf("wrote %s: %zu counter(s), %zu gauge(s), %zu histogram(s)\n",
-                metrics_out.c_str(), snap.counters.size(),
-                snap.gauges.size(), snap.histograms.size());
-  }
+  std::vector<sim::EngineStats> stats;
+  for (const auto& r : results) stats.push_back(r.stats);
+  observe.write(stats);
   return 0;
 }
 
