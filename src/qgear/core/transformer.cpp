@@ -149,7 +149,8 @@ Result Transformer::run_typed(const Kernel& kernel,
   result.measured = measured;
   if (run_opts.shots > 0) {
     Rng rng(opts_.seed);
-    result.counts = sim::sample_counts(state, measured, run_opts.shots, rng);
+    result.counts =
+        sim::sample_counts(state, measured, run_opts.shots, rng, pool_.get());
   }
   if (run_opts.return_state) result.state = widen(state.amplitudes());
   result.wall_seconds = timer.seconds();

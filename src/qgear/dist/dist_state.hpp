@@ -98,6 +98,7 @@ class DistStateVector {
   /// Worker pool for local sweeps and exchange update loops (not owned;
   /// nullptr = scalar loops). Every rank needs its own pool.
   void set_pool(ThreadPool* pool) { pool_ = pool; }
+  ThreadPool* pool() const { return pool_; }
 
   /// Splits slab exchanges into chunks of this many amplitudes so the 2x2
   /// update of chunk k overlaps delivery of chunk k+1. 0 = auto: the chunk

@@ -92,10 +92,12 @@ struct RunResult {
 };
 
 /// Distributed multinomial sampling: rank weights are the local norm of
-/// each slab; the root partitions the shot budget across ranks by their
-/// weight, each rank samples its local alias table, and results merge at
-/// the root keyed by the *logical* basis index bits of the measured
-/// qubits (resolved through the state's qubit map after remapped runs).
+/// each slab (summed by chunk, sim::chunk_weights); the root partitions
+/// the shot budget across ranks by their weight, each rank draws its
+/// share from its slab with the streaming sampler
+/// (sim::sample_amplitudes), and results merge at the root keyed
+/// by the *logical* basis index bits of the measured qubits (resolved
+/// through the state's qubit map after remapped runs).
 template <typename T>
 sim::Counts sample_distributed(DistStateVector<T>& state,
                                comm::Communicator& comm,
@@ -128,7 +130,12 @@ sim::Counts sample_distributed(DistStateVector<T>& state,
 
   const int rank = comm.rank();
   const int size = comm.size();
-  const double local_weight = state.local_norm();
+  // The slab's chunk weights give this rank's weight and are handed to
+  // the local draw below, so the slab is summed once.
+  const std::vector<double> chunk_weights = sim::chunk_weights(
+      state.local_amps().data(), state.local_size(), state.pool());
+  const double local_weight =
+      std::accumulate(chunk_weights.begin(), chunk_weights.end(), 0.0);
 
   // Root collects rank weights and draws the per-rank multinomial split.
   std::vector<std::uint64_t> budget(size, 0);
@@ -159,40 +166,30 @@ sim::Counts sample_distributed(DistStateVector<T>& state,
   const std::uint64_t my_shots = budget[rank];
   sim::Counts local_counts;
   if (my_shots > 0) {
-    std::vector<double> probs(state.local_size());
-    for (std::uint64_t i = 0; i < probs.size(); ++i) {
-      probs[i] = std::norm(state.local_amps()[i]);
-    }
-    const sim::AliasSampler sampler(probs);
     Rng rng(seed ^ (0x9E3779B97F4A7C15ull * (rank + 1)));
-    const std::uint64_t rank_bits = static_cast<std::uint64_t>(rank)
-                                    << state.local_qubits();
     std::vector<unsigned> positions(measured.size());
     for (std::size_t j = 0; j < measured.size(); ++j) {
       positions[j] = state.physical_qubit(measured[j]);
     }
-    for (std::uint64_t s = 0; s < my_shots; ++s) {
-      const std::uint64_t full = rank_bits | sampler.sample(rng);
-      std::uint64_t key = 0;
-      for (std::size_t j = 0; j < positions.size(); ++j) {
-        key |= ((full >> positions[j]) & 1u) << j;
-      }
-      ++local_counts[key];
-    }
+    local_counts = sim::sample_amplitudes(
+        state.local_amps().data(), state.local_size(), positions, my_shots,
+        rng, state.pool(),
+        static_cast<std::uint64_t>(rank) << state.local_qubits(),
+        &chunk_weights);
   }
 
   // Merge at root as (key, count) pairs.
   if (rank == 0) {
-    sim::Counts merged = std::move(local_counts);
+    sim::KeyCounts merged(local_counts.begin(), local_counts.end());
     for (int src = 1; src < size; ++src) {
       const auto pairs = comm.recv_vec<std::uint64_t>(src, kCountsTag);
       QGEAR_CHECK_FORMAT(pairs.size() % 2 == 0,
                          "dist: malformed counts payload");
       for (std::size_t i = 0; i < pairs.size(); i += 2) {
-        merged[pairs[i]] += pairs[i + 1];
+        merged.emplace_back(pairs[i], pairs[i + 1]);
       }
     }
-    return merged;
+    return sim::to_counts(std::move(merged));
   }
   std::vector<std::uint64_t> pairs;
   pairs.reserve(local_counts.size() * 2);

@@ -41,7 +41,7 @@ class StateVectorBackend : public Backend {
   Counts sample(const std::vector<unsigned>& measured_qubits,
                 std::uint64_t shots, Rng& rng) override {
     require_state();
-    return sample_counts(*state_, measured_qubits, shots, rng);
+    return sample_counts(*state_, measured_qubits, shots, rng, pool_);
   }
   double expectation(const PauliTerm& term) override {
     require_state();
@@ -65,6 +65,7 @@ class StateVectorBackend : public Backend {
   }
 
   Engine engine_;
+  ThreadPool* pool_ = nullptr;  // not owned; shared with the engine
   std::optional<StateVector<T>> state_;
 };
 
@@ -74,6 +75,7 @@ class ReferenceBackend final
  public:
   explicit ReferenceBackend(const BackendOptions& o) {
     this->engine_ = ReferenceEngine<T>({o.pool});
+    this->pool_ = o.pool;
   }
   std::string name() const override { return "reference"; }
 };
@@ -83,6 +85,7 @@ class FusedBackend final : public StateVectorBackend<FusedEngine<T>, T> {
  public:
   explicit FusedBackend(const BackendOptions& o) {
     this->engine_ = FusedEngine<T>({o.fusion, o.pool});
+    this->pool_ = o.pool;
   }
   std::string name() const override { return "fused"; }
 };

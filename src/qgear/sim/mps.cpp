@@ -450,30 +450,17 @@ Counts MpsEngine::sample(const std::vector<unsigned>& measured_qubits,
                     "mps: measured qubits must be strictly ascending");
   }
 
-  Counts counts;
   if (num_qubits_ <= 20) {
-    // Dense path: alias sampling is O(1) per shot after one 2^n pass.
+    // Dense path: one streaming pass over the contracted amplitudes.
     const std::vector<cd> amps = to_statevector();
-    std::vector<double> weights(amps.size());
-    for (std::size_t i = 0; i < amps.size(); ++i) {
-      weights[i] = std::norm(amps[i]);
-    }
-    const AliasSampler sampler(weights);
-    for (std::uint64_t shot = 0; shot < shots; ++shot) {
-      const std::uint64_t idx = sampler.sample(rng);
-      std::uint64_t key = 0;
-      for (std::size_t j = 0; j < mq.size(); ++j) {
-        key |= ((idx >> mq[j]) & 1) << j;
-      }
-      ++counts[key];
-    }
-    return counts;
+    return sample_amplitudes(amps.data(), amps.size(), mq, shots, rng);
   }
 
   // Perfect sampling: with the center at site 0 every site to the right
   // is right-canonical, so the conditional outcome weights are the norms
   // of the partially contracted environment. O(n * chi^2) per shot.
   canonize_to(0);
+  Counts counts;
   std::vector<int> bits(num_qubits_, 0);
   for (std::uint64_t shot = 0; shot < shots; ++shot) {
     std::vector<cd> v{cd(1, 0)};

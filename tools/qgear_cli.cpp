@@ -12,11 +12,11 @@
 //   qgear_cli info        --in circuits.qh5
 //   qgear_cli run         --in circuits.qh5 [--target nvidia|cpu-aer|
 //                         nvidia-mgpu|nvidia-mqpu] [--devices R]
-//                         [--shots S] [--precision fp32|fp64]
+//                         [--shots S] [--precision fp32|fp64 (default fp32)]
 //                         [--fusion W] [--trace-out trace.json]
 //                         [--metrics-out metrics.json]
 //   qgear_cli run         --in circuits.qh5 --backend NAME [--shots S]
-//                         [--seed S] [--precision fp32|fp64]
+//                         [--seed S] [--precision fp32|fp64 (default fp32)]
 //                         [--mps-cutoff C] [--mps-max-bond B]
 //                         [--dd-max-nodes N] [--dist-ranks R] [--fusion W]
 //                         [--retries N] [--retry-backoff-ms MS]
@@ -57,8 +57,9 @@
 // ignored by the diff, so an autotuned run compares cleanly against a
 // pinned-backend run. --precision applies to the statevector engines
 // (fused, reference; with --auto it overrides the routed precision when
-// one of them is chosen); dd, mps and dist always run fp64. The report's
-// per-circuit `precision` is the one that ran.
+// one of them is chosen); dd, mps and dist always run fp64. Without it a
+// pinned fused or reference run is fp32, the default of `run --target`
+// and of serve. The report's per-circuit `precision` is the one that ran.
 //
 // `run --auto` routes each circuit through route::plan (backend x
 // precision x ISA x fusion width under --budget-mb / --max-error) and
@@ -359,12 +360,16 @@ int cmd_run_backend(const Args& args) {
   const bool auto_route = args.has("auto") || name == "auto";
   if (name.empty() && !auto_route) name = sim::Backend::default_name();
   const sim::BackendOptions base = backend_options_from_args(args);
-  // An explicit --precision applies to the statevector engines; dd, mps
-  // and dist are double-precision engines regardless (as in serve).
+  // --precision applies to the statevector engines; dd, mps and dist are
+  // double-precision engines regardless (as in serve). A pinned fused or
+  // reference run defaults to fp32, as `run --target` and serve do; --auto
+  // keeps the routed precision unless --precision is given.
   const std::string precision_arg = args.opt("precision");
   QGEAR_CHECK_ARG(precision_arg.empty() || precision_arg == "fp32" ||
                       precision_arg == "fp64",
                   "--precision must be fp32 or fp64");
+  const std::string precision_req =
+      !precision_arg.empty() ? precision_arg : auto_route ? "" : "fp32";
   const RunObservability observe(args);
   const std::uint64_t shots = args.u64("shots", 0);
   const std::uint64_t seed = args.u64("seed", 12345);
@@ -450,15 +455,17 @@ int cmd_run_backend(const Args& args) {
             std::printf("[%u] %s: %s\n", c, qc.name().c_str(), line.c_str());
           }
         }
-        if (!precision_arg.empty() && precision_arg != precision) {
+        if (!precision_req.empty() && precision_req != precision) {
           const bool statevector =
               exec_name == "fused" || exec_name == "reference";
-          std::printf("[%u] %s: --precision %s %s\n", c, qc.name().c_str(),
-                      precision_arg.c_str(),
-                      statevector ? "applied"
-                                  : "ignored: this engine runs fp64");
+          if (!precision_arg.empty()) {
+            std::printf("[%u] %s: --precision %s %s\n", c, qc.name().c_str(),
+                        precision_arg.c_str(),
+                        statevector ? "applied"
+                                    : "ignored: this engine runs fp64");
+          }
           if (statevector) {
-            precision = precision_arg;
+            precision = precision_req;
             bo.fp32 = precision == "fp32";
           }
         }
